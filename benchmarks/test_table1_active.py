@@ -4,8 +4,7 @@ One benchmark per Table I row (benchmark × FSA).  Each run regenerates
 the row -- ``|X|``, ``k``, ``i``, ``d``, ``N``, ``α``, ``T(s)``, ``%Tm``
 -- and the session fixture prints the assembled table at the end.
 
-Expected shape versus the paper (absolute times differ; see
-EXPERIMENTS.md):
+Expected shape versus the paper (absolute times differ):
 
 * every FSA converges to α = 1 with d = 1 (the paper converges on all
   but its three timeout rows, which were CBMC-runtime artefacts);

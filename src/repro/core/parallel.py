@@ -36,8 +36,8 @@ least-loaded worker takes it.
 
 **Determinism.**  The oracle uses canonical (lexicographically minimal)
 counterexamples, making every outcome a pure function of its condition:
-the CDCL model a worker would otherwise return depends on clause-database
-history and on per-process hash salting of the encoder's variable order.
+the CDCL model a worker would otherwise return depends on its solver's
+history: clause database, saved phases and encoder variable order.
 With canonical outcomes the merged report -- outcomes listed in the
 original condition order -- is identical to the serial report regardless
 of ``jobs`` or scheduling.

@@ -128,9 +128,9 @@ class IncrementalConditionChecker:
         """Lexicographically minimal model of the current query scope.
 
         The counterexample a CDCL search returns depends on its clause
-        database, saved phases and even the (hash-salted) order in which
-        the encoder first met the variables -- so it differs between
-        solver histories and between worker processes.  The *minimal*
+        database, saved phases and the order in which the encoder first
+        met the variables -- so it differs between solver histories, and
+        so between worker processes.  The *minimal*
         model under a fixed variable order is a pure function of the
         query, which is what lets a sharded oracle reproduce the serial
         report bit for bit (see :mod:`repro.core.parallel`).

@@ -11,9 +11,10 @@ emits guard-boundary samples; see ``repro.stateflow.codegen``).
 
 The engine answers the same question k-induction answers -- "is this
 counterexample state reachable?" -- with exact yes/no instead of
-yes/no/inconclusive.  DESIGN.md discusses why this substitution preserves
-the algorithm's behaviour; the SAT k-induction engine remains available
-for small ``k`` and for the k-sensitivity ablation.
+yes/no/inconclusive.  ``docs/engines.md`` compares the engines and the
+sampled-input semantics this one is exact for; the SAT k-induction
+engine remains available for small ``k`` and for the k-sensitivity
+ablation.
 """
 
 from __future__ import annotations

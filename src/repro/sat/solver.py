@@ -36,6 +36,18 @@ periodic reductions drop the worst-scored half while always retaining
 propagation reasons.  :meth:`Solver.maintain` exposes the same hygiene
 (plus VSIDS activity rescaling and lazy-heap compaction) as an explicit
 hook for session owners to call between iterations.
+
+**Search identity.**  The search is deterministic, and Table I counts
+(iterations, trace counts, propagations inside ``T``) depend on its
+exact trajectory: propagation order, learned clauses, heap pushes,
+saved phases, models and unsat cores.  Hot-path edits (the inlined
+loops of ``_propagate``, ``_analyze``, ``_minimize``, ``_backtrack``
+and ``add_clause``) must keep
+``tests/test_sat_solver.py::TestSearchTrajectoryPinned`` green without
+touching its captured values.  A heuristic that changes the trajectory
+(blocker literals, separate binary watches, trail reuse, a different
+encoding) is a separate change that re-captures those values and
+brings Table I evidence that the rows still match.
 """
 
 from __future__ import annotations
@@ -233,15 +245,17 @@ class Solver:
             lits = list(lits) + [-self._groups[group]]
         clause: list[int] = []
         seen: set[int] = set()
+        assign = self._assign  # grows in place under ensure_vars
         for lit in lits:
-            if abs(lit) > self._num_vars:
-                self.ensure_vars(abs(lit))
+            var = lit if lit > 0 else -lit
+            if var > self._num_vars:
+                self.ensure_vars(var)
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
                 continue
             seen.add(lit)
-            value = self._lit_value(lit)
+            value = assign[var] if lit > 0 else -assign[var]
             if value == _TRUE:
                 return True  # already satisfied at level 0
             if value == _FALSE:
@@ -251,7 +265,8 @@ class Solver:
             self._ok = False
             return False
         if len(clause) == 1:
-            if not self._enqueue(clause[0], None) or self._propagate() is not None:
+            self._enqueue(clause[0], None)
+            if self._propagate() is not None:
                 self._ok = False
                 return False
             return True
@@ -263,101 +278,131 @@ class Solver:
         self._watches[clause[1]].append(clause)
 
     # ------------------------------------------------------------------
-    # assignment helpers
+    # assignment and propagation
+    #
+    # The hot loops below bind solver fields to locals and evaluate a
+    # literal's value inline: ``assign[l] if l > 0 else -assign[-l]``
+    # is _TRUE, _FALSE or _UNASSIGNED.
     # ------------------------------------------------------------------
-    def _lit_value(self, lit: int) -> int:
-        value = self._assign[abs(lit)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if lit > 0 else -value
-
-    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        value = self._lit_value(lit)
-        if value == _FALSE:
-            return False
-        if value == _TRUE:
-            return True
-        var = abs(lit)
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
+        """Assign the *unassigned* literal ``lit`` at the current level."""
+        var = lit if lit > 0 else -lit
         self._assign[var] = _TRUE if lit > 0 else _FALSE
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
-        return True
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
-        while self._prop_head < len(self._trail):
-            lit = self._trail[self._prop_head]
-            self._prop_head += 1
-            self.propagations += 1
-            false_lit = -lit
-            watch_list = self._watches[false_lit]
+        trail = self._trail
+        head = self._prop_head
+        if head >= len(trail):
+            return None
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        watches = self._watches
+        current_level = len(self._trail_lim)
+        start = head
+        conflict: list[int] | None = None
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watch_list = watches[false_lit]
             kept: list[list[int]] = []
-            conflict: list[int] | None = None
-            for idx, clause in enumerate(watch_list):
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+            clauses = iter(watch_list)  # on conflict, ``kept`` takes the rest
+            for clause in clauses:
                 first = clause[0]
-                if self._lit_value(first) == _TRUE:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == _TRUE:
                     kept.append(clause)
                     continue
-                moved = False
-                for j in range(2, len(clause)):
-                    if self._lit_value(clause[j]) != _FALSE:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        moved = True
+                for j in range(2, len(clause)):  # empty for binary clauses
+                    q = clause[j]
+                    if (assign[q] if q > 0 else -assign[-q]) != _FALSE:
+                        clause[j] = clause[1]
+                        clause[1] = q
+                        watches[q].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if not self._enqueue(first, clause):
-                    conflict = clause
-                    kept.extend(watch_list[idx + 1:])
-                    break
-            self._watches[false_lit] = kept
+                else:
+                    kept.append(clause)
+                    if value == _FALSE:
+                        conflict = clause
+                        kept.extend(clauses)
+                        break
+                    if first > 0:
+                        assign[first] = _TRUE
+                        level[first] = current_level
+                        reason[first] = clause
+                    else:
+                        assign[-first] = _FALSE
+                        level[-first] = current_level
+                        reason[-first] = clause
+                    trail.append(first)
+            watches[false_lit] = kept
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._prop_head = head
+        self.propagations += head - start
+        return conflict
 
     # ------------------------------------------------------------------
     # conflict analysis (first UIP)
     # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        heapq.heappush(self._order, (-self._activity[var], var))
-
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
-        """First-UIP analysis; returns (learned clause, backtrack level)."""
+        """First-UIP analysis; returns (learned clause, backtrack level).
+
+        Every variable met is bumped (VSIDS) as it is first seen, with a
+        heap push per bump and a 1e-100 rescale of all activities once
+        one exceeds 1e100.
+        """
+        level = self._level
+        trail = self._trail
+        activity = self._activity
+        order = self._order
+        heappush = heapq.heappush
+        var_inc = self._var_inc
         current_level = len(self._trail_lim)
         learned: list[int] = []
         seen: set[int] = set()
         counter = 0
-        resolve_lit: int | None = None
+        resolve_lit = 0  # no literal is 0: nothing skipped on the first pass
         reason: Sequence[int] = conflict
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         while True:
             for q in reason:
-                if resolve_lit is not None and q == resolve_lit:
+                if q == resolve_lit:
                     continue
-                var = abs(q)
-                if var in seen or self._level[var] == 0:
+                var = q if q > 0 else -q
+                if var in seen:
+                    continue
+                var_level = level[var]
+                if var_level == 0:
                     continue
                 seen.add(var)
-                self._bump_var(var)
-                if self._level[var] == current_level:
+                act = activity[var] + var_inc
+                activity[var] = act
+                if act > 1e100:
+                    for v in range(1, self._num_vars + 1):
+                        activity[v] *= 1e-100
+                    var_inc *= 1e-100
+                    self._var_inc = var_inc
+                    act = activity[var]
+                heappush(order, (-act, var))
+                if var_level == current_level:
                     counter += 1
                 else:
                     learned.append(q)
-            while abs(self._trail[index]) not in seen:
+            resolve_lit = trail[index]
+            while (resolve_lit if resolve_lit > 0 else -resolve_lit) not in seen:
                 index -= 1
-            resolve_lit = self._trail[index]
+                resolve_lit = trail[index]
             index -= 1
-            var = abs(resolve_lit)
+            var = resolve_lit if resolve_lit > 0 else -resolve_lit
             seen.discard(var)
             counter -= 1
             if counter == 0:
@@ -369,9 +414,7 @@ class Solver:
                 # Aging refresh: a clause pulled into conflict analysis
                 # is alive; re-score it so reductions keep it around.
                 levels = len({
-                    self._level[abs(q)]
-                    for q in next_reason
-                    if self._level[abs(q)] > 0
+                    level[abs(q)] for q in next_reason if level[abs(q)] > 0
                 })
                 if levels and levels < next_reason.lbd:
                     next_reason.lbd = levels
@@ -382,39 +425,52 @@ class Solver:
         # Second-highest level literal goes to slot 1 (watch invariant).
         max_i = 1
         for i in range(2, len(learned)):
-            if self._level[abs(learned[i])] > self._level[abs(learned[max_i])]:
+            if level[abs(learned[i])] > level[abs(learned[max_i])]:
                 max_i = i
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, self._level[abs(learned[1])]
+        return learned, level[abs(learned[1])]
 
     def _minimize(self, learned: list[int]) -> list[int]:
         """Basic (local) clause minimisation: drop self-subsumed literals."""
+        level = self._level
+        reasons = self._reason
         in_clause = {abs(lit) for lit in learned}
         keep = [learned[0]]
         for q in learned[1:]:
-            reason = self._reason[abs(q)]
-            if reason is not None and all(
-                abs(other) in in_clause or self._level[abs(other)] == 0
-                for other in reason
-                if abs(other) != abs(q)
-            ):
-                continue
+            reason = reasons[q if q > 0 else -q]
+            if reason is not None:
+                # q's own variable is in the clause, so it passes too.
+                for other in reason:
+                    var = other if other > 0 else -other
+                    if var not in in_clause and level[var] != 0:
+                        break
+                else:
+                    continue
             keep.append(q)
         return keep
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for lit in reversed(self._trail[bound:]):
-            var = abs(lit)
-            self._phase[var] = self._assign[var] == _TRUE
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            heapq.heappush(self._order, (-self._activity[var], var))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._prop_head = min(self._prop_head, len(self._trail))
+        trail = self._trail
+        assign = self._assign
+        reason = self._reason
+        phase = self._phase
+        activity = self._activity
+        order = self._order
+        heappush = heapq.heappush
+        bound = trail_lim[level]
+        for lit in reversed(trail[bound:]):
+            var = lit if lit > 0 else -lit
+            phase[var] = lit > 0  # trail literals are the true ones
+            assign[var] = _UNASSIGNED
+            reason[var] = None
+            heappush(order, (-activity[var], var))
+        del trail[bound:]
+        del trail_lim[level:]
+        if self._prop_head > bound:
+            self._prop_head = bound
 
     def _record_learned(self, clause: list[int], lbd: int) -> None:
         if len(clause) == 1:
@@ -618,7 +674,11 @@ class Solver:
             while len(self._trail_lim) < len(assumed):
                 # Re-assert pending assumptions, one decision level each.
                 next_assumed = assumed[len(self._trail_lim)]
-                value = self._lit_value(next_assumed)
+                value = (
+                    self._assign[next_assumed]
+                    if next_assumed > 0
+                    else -self._assign[-next_assumed]
+                )
                 if value == _TRUE:
                     self._trail_lim.append(len(self._trail))
                 elif value == _FALSE:

@@ -108,7 +108,9 @@ class Encoder:
     def _declare_all(self, expr: Expr) -> None:
         from ..expr.ast import free_vars
 
-        for var in free_vars(expr):
+        # By name, not set order: ``Var`` hashes by identity, so set
+        # order (and with it CNF numbering) would follow memory layout.
+        for var in sorted(free_vars(expr), key=lambda v: v.qualified_name):
             self.declare(var)
 
     # ------------------------------------------------------------------

@@ -11,8 +11,8 @@ on the current tree and compares.
 Everything here is shared between the capture script and the test so
 the two can never drift apart.  All runs use canonical counterexamples:
 canonical outcomes are pure functions of the condition (independent of
-solver history and per-process hash salting), which is what makes a
-cross-process golden comparison meaningful at all.
+solver history), which is what makes a cross-process golden comparison
+meaningful at all.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the CDCL SAT solver: correctness on crafted and random CNFs."""
 
+import hashlib
 import itertools
 import random
 
@@ -377,3 +378,182 @@ class TestClauseDbHygiene:
         assert after == ranking
         assert max(solver._activity[1:]) <= 1.0
         assert len(solver._order) == solver._num_vars
+
+
+def random_3sat(seed: int, num_vars: int, num_clauses: int) -> CNF:
+    rng = random.Random(seed)
+    cnf = CNF()
+    cnf.new_vars(num_vars)
+    for _ in range(num_clauses):
+        clause_vars = rng.sample(range(1, num_vars + 1), k=3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in clause_vars])
+    return cnf
+
+
+def _fingerprint(result) -> tuple:
+    return (
+        result.satisfiable,
+        result.conflicts,
+        result.decisions,
+        result.propagations,
+        result.unsat_core,
+        tuple(sorted(v for v, value in result.model.items() if value)),
+    )
+
+
+def _search_state_digest(solver: Solver) -> str:
+    """Digest of everything the search leaves behind: learned clauses
+    with their LBD tags, saved phases, VSIDS activities and increment,
+    and the lazy heap in push order."""
+    state = (
+        [(list(c), c.lbd) for c in solver._learned],
+        solver._phase,
+        solver._activity,
+        solver._var_inc,
+        solver._order,
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+def _one_shot_trajectory(cnf: CNF, var_inc: float = 1.0) -> list:
+    solver = Solver(cnf)
+    solver._var_inc = var_inc
+    return [_fingerprint(solver.solve()), _search_state_digest(solver)]
+
+
+def _incremental_trajectory() -> list:
+    """Assumptions, a retractable group, organic and forced reductions,
+    and clauses added between solves, all on one long-lived solver."""
+    solver = Solver(random_3sat(101, 80, 310))
+    solver._max_learned = 16  # organic reductions at every restart
+    group = solver.new_group()
+    for clause in random_3sat(303, 80, 30).clauses:
+        solver.add_clause(clause, group=group)
+    rng = random.Random(202)
+    out = []
+    for step in range(12):
+        assumptions = [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, 81), k=3)
+        ]
+        out.append(_fingerprint(solver.solve(assumptions)))
+        if step == 4:
+            solver.retract_group(group)
+        elif step == 6:
+            solver._reduce_learned(force=True)
+        elif step == 8:
+            solver.add_clause(assumptions)
+    out.append(_search_state_digest(solver))
+    return out
+
+
+TRAJECTORY_CASES = {
+    **{
+        f"3sat-60x256-seed{seed}": lambda seed=seed: _one_shot_trajectory(
+            random_3sat(seed, 60, 256)
+        )
+        for seed in range(6)
+    },
+    "3sat-90x384-seed7": lambda: _one_shot_trajectory(random_3sat(7, 90, 384)),
+    "3sat-60x256-rescale": lambda: _one_shot_trajectory(
+        random_3sat(0, 60, 256), var_inc=1e99
+    ),
+    "php-6-5": lambda: _one_shot_trajectory(pigeonhole_cnf(6, 5)),
+    "incremental": _incremental_trajectory,
+}
+
+# Captured from the solver before its hot loops were inlined; any edit
+# to the search must reproduce these exactly (see sat/solver.py).
+EXPECTED_TRAJECTORIES = {
+    "3sat-60x256-rescale": [
+        (False, 121, 163, 2009, (), ()),
+        "6a4b31fa83fa9d17",
+    ],
+    "3sat-60x256-seed0": [
+        (False, 144, 173, 2187, (), ()),
+        "bfd6fc0c698f858c",
+    ],
+    "3sat-60x256-seed1": [
+        (True, 10, 30, 199, None,
+            (10, 12, 14, 16, 18, 20, 22, 23, 24, 26, 28, 29, 31, 32, 33, 34,
+             36, 37, 38, 39, 40, 43, 44, 45, 46, 50, 52, 59)),
+        "f089e25eee0b25f1",
+    ],
+    "3sat-60x256-seed2": [
+        (False, 143, 179, 2299, (), ()),
+        "52973ec8c8d0c109",
+    ],
+    "3sat-60x256-seed3": [
+        (True, 34, 45, 570, None,
+            (4, 5, 7, 8, 9, 10, 12, 13, 15, 17, 19, 25, 26, 27, 28, 29, 30, 31,
+             35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 49, 50, 51, 54, 55,
+             57, 58, 59, 60)),
+        "062b7842d6babb81",
+    ],
+    "3sat-60x256-seed4": [
+        (True, 35, 60, 460, None,
+            (1, 2, 4, 5, 7, 9, 11, 12, 13, 15, 16, 18, 22, 27, 28, 29, 30, 31,
+             33, 34, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 47, 49, 53, 54,
+             56, 57, 59)),
+        "1d332bef7d76ba78",
+    ],
+    "3sat-60x256-seed5": [
+        (False, 64, 80, 926, (), ()),
+        "6887609e63cae7a9",
+    ],
+    "3sat-90x384-seed7": [
+        (False, 351, 427, 7543, (), ()),
+        "481e9395105b1617",
+    ],
+    "incremental": [
+        (False, 58, 67, 1104, (-50, 61, 53), ()),
+        (False, 77, 88, 1486, (-8, 55, -57), ()),
+        (False, 129, 148, 2510, (-26, -31, -64), ()),
+        (False, 156, 175, 2996, (25, 52, -42), ()),
+        (False, 179, 198, 3423, (-5, 67, -32), ()),
+        (False, 248, 271, 4811, (-64, 35, -6), ()),
+        (False, 280, 309, 5425, (13, 5, -49), ()),
+        (False, 383, 424, 7768, (-16, -46, -17), ()),
+        (True, 398, 451, 8271, None,
+            (3, 6, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 22, 23, 28, 29, 30,
+             31, 34, 37, 40, 42, 44, 45, 47, 49, 54, 55, 58, 60, 61, 63, 64,
+             65, 68, 69, 70, 76, 78, 80)),
+        (True, 434, 505, 9066, None,
+            (1, 3, 8, 10, 11, 15, 16, 17, 19, 20, 22, 23, 25, 26, 35, 41, 42,
+             46, 49, 50, 51, 55, 58, 60, 63, 64, 66, 68, 69, 70, 72, 73, 74, 76)),
+        (False, 466, 540, 9756, (-50, 51, 67), ()),
+        (True, 501, 595, 10699, None,
+            (6, 8, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 22, 23, 25, 28, 41,
+             42, 44, 45, 47, 49, 50, 51, 54, 55, 58, 60, 63, 64, 66, 69, 70,
+             72, 73, 74, 76, 78, 80)),
+        "e44c47b40ee89360",
+    ],
+    "php-6-5": [
+        (False, 159, 217, 1859, (), ()),
+        "4ca34678b463f670",
+    ],
+}
+
+
+class TestSearchTrajectoryPinned:
+    """The CDCL search is deterministic: same propagation order, learned
+    clauses, heap pushes and phases give the same counts, cores and
+    models.  Hot-path rewrites must keep every case bit-for-bit."""
+
+    @pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+    def test_trajectory_matches_capture(self, case):
+        assert TRAJECTORY_CASES[case]() == EXPECTED_TRAJECTORIES[case]
+
+    def test_family_covers_sat_unsat_cores_and_rescale(self):
+        verdicts = {
+            traj[0][0] for case, traj in EXPECTED_TRAJECTORIES.items()
+            if case != "incremental"
+        }
+        assert verdicts == {True, False}
+        incremental = EXPECTED_TRAJECTORIES["incremental"][:-1]
+        assert any(r[4] for r in incremental), "no non-empty unsat core"
+        assert any(r[0] for r in incremental)
+        solver = Solver(random_3sat(0, 60, 256))
+        solver._var_inc = 1e99
+        solver.solve()
+        assert solver._var_inc < 1e99, "activity rescale never fired"

@@ -124,6 +124,31 @@ class TestSatisfiability:
         assert model["x"] == 3 and model["x'"] == 7
 
 
+
+class TestEncoderVariableOrder:
+    def test_lazy_declaration_numbers_vars_by_qualified_name(self):
+        """CNF numbering must not follow the identity-hashed free-var set:
+        variables are declared in qualified-name order, however (and in
+        whatever order) they were created."""
+        from repro.smt.encoder import Encoder
+
+        names = ["ord_g", "ord_c", "ord_e", "ord_a", "ord_f", "ord_b", "ord_d"]
+        ints = [Var(name, int_sort(0, 9)) for name in names]
+        flag = Var("ord_0", BOOL)
+        primed = ints[0].prime()
+        encoder = Encoder()
+        encoder.encode_literal(
+            land(flag, primed > 1, *(v > 0 for v in reversed(ints)))
+        )
+        first_bits = {name: vec.bits[0] for name, vec in encoder._int_vars.items()}
+        first_bits.update(encoder._bool_vars)
+        by_name = sorted(first_bits)
+        assert len(by_name) == len(names) + 2
+        assert [first_bits[name] for name in by_name] == sorted(
+            first_bits.values()
+        )
+
+
 class TestSolverFacade:
     def test_incremental_adds(self):
         solver = SmtSolver()
